@@ -234,6 +234,28 @@ func BenchmarkSimulatorTick(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorTickStore is BenchmarkSimulatorTick with a metrics
+// store attached: the tick plus the Monitor stage's 16 series writes.
+// The engine drops its series every 16384 ticks, so the store's memory
+// stays bounded however large b.N grows.
+func BenchmarkSimulatorTickStore(b *testing.B) {
+	e, err := workloads.NewEngine(workloads.WordCount(), workloads.EngineOptions{
+		Seed:               3,
+		InitialParallelism: dataflow.ParallelismVector{3, 4, 12, 10},
+		Store:              metrics.NewStore(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		e.Tick()
+		if i%(1<<14) == 0 {
+			e.DropMetrics()
+		}
+	}
+}
+
 // BenchmarkGPAppend measures folding one observation into a fitted
 // surrogate via the incremental Cholesky extension (O(n²) per point vs a
 // full refactorization). The model is reset once it doubles so the

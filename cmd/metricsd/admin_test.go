@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"autrascale/internal/fleet"
+	"autrascale/internal/metrics"
 	"autrascale/internal/persist"
 )
 
@@ -252,6 +254,42 @@ func TestAdminJobLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s empty name: status %d, want 400", route, resp.StatusCode)
 		}
+	}
+}
+
+// TestAdminRemoveResubmitSameName removes a job that has run, resubmits
+// its name, and keeps the fleet running: the new job must record into
+// fresh series, not the removed one's, and /metrics must show it.
+func TestAdminRemoveResubmitSameName(t *testing.T) {
+	srv := adminFleetServer(t, serverConfig{})
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	for i := 0; i < 10; i++ {
+		srv.fleet.Round()
+	}
+	resp := post(t, ts.URL+"/api/v1/jobs/remove", `{"name": "wordcount-01"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove: status %d", resp.StatusCode)
+	}
+	resp = post(t, ts.URL+"/api/v1/jobs", `{"name": "wordcount-01", "workload": "wordcount"}`)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmit: status %d: %s", resp.StatusCode, body)
+	}
+	for i := 0; i < 3; i++ {
+		srv.fleet.Round()
+	}
+	if !strings.Contains(string(get(t, ts, "/metrics")), `taskmanager_job_throughput{job="wordcount-01"} `) {
+		t.Fatal("/metrics has no throughput line for the resubmitted job")
+	}
+	// One sample per simulated second since the resubmission: the removed
+	// job's samples are gone with its series.
+	pts := srv.store.Window(metrics.MetricThroughput, map[string]string{"job": "wordcount-01"},
+		math.Inf(-1), math.Inf(1))
+	if len(pts) == 0 || len(pts) > int(pts[len(pts)-1].TimeSec)+1 {
+		t.Fatalf("resubmitted job's series holds %d samples", len(pts))
 	}
 }
 

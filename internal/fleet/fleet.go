@@ -582,8 +582,9 @@ func (f *Fleet) Drain(name string) error {
 	return nil
 }
 
-// Remove deletes a job outright, freeing its capacity. Unlike Drain it
-// publishes nothing.
+// Remove deletes a job outright, freeing its capacity and dropping its
+// series from the store, so a later job of the same name starts fresh
+// series. Unlike Drain it publishes nothing.
 func (f *Fleet) Remove(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -595,6 +596,7 @@ func (f *Fleet) Remove(name string) error {
 		f.usedCores -= j.spec.cores()
 	}
 	f.healthRemove(j)
+	j.engine.DropMetrics()
 	delete(f.jobs, name)
 	for i, n := range f.order {
 		if n == name {

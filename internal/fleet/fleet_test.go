@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"autrascale/internal/core"
@@ -304,5 +305,42 @@ func TestDeriveSeedIndependence(t *testing.T) {
 	}
 	if a != deriveSeed(42, "job-a") {
 		t.Fatal("deriveSeed is not deterministic")
+	}
+}
+
+// Removing a job and resubmitting its name must start the new job on
+// fresh series: the new engine's clock restarts at 0, so recording into
+// the old generation's series would be out of order and panic the
+// fleet worker stepping it. The removed job's points leave the store.
+func TestFleetRemoveResubmitFreshSeries(t *testing.T) {
+	store := metrics.NewStore()
+	f, err := New(Config{TotalCores: 64, Seed: 5, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(testJob(t, "x", 1500)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		f.Round()
+	}
+	job := map[string]string{"job": "x"}
+	old, ok := store.Latest(metrics.MetricThroughput, job)
+	if !ok || old.TimeSec < 60 {
+		t.Fatalf("first generation recorded %+v, %v", old, ok)
+	}
+	if err := f.Remove("x"); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Len(); n != 0 {
+		t.Fatalf("store holds %d series after Remove, want 0", n)
+	}
+	if err := f.Submit(testJob(t, "x", 1500)); err != nil {
+		t.Fatal(err)
+	}
+	f.Round()
+	pts := store.Window(metrics.MetricThroughput, job, math.Inf(-1), math.Inf(1))
+	if len(pts) == 0 || pts[0].TimeSec > 1 || pts[len(pts)-1].TimeSec >= old.TimeSec {
+		t.Fatalf("second generation's series = %v..., want a fresh series from t≈1", pts[:min(len(pts), 3)])
 	}
 }

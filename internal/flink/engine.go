@@ -102,6 +102,10 @@ type Engine struct {
 	cluster *cluster.Cluster
 	topic   *kafka.Topic
 	store   *metrics.Store
+	// series are the handles recordMetrics writes through, resolved on
+	// the first recorded tick: the four job series, then three per
+	// operator (see resolveSeries).
+	series  []*metrics.Series
 	tracer  *trace.Tracer
 	jobName string
 	rng     *stat.RNG
@@ -726,23 +730,59 @@ func (e *Engine) MemUsedMB() float64 {
 	return mem
 }
 
+// resolveSeries registers the engine's series in its store: the four
+// job series, then the true, observed and input rate of each operator.
+func (e *Engine) resolveSeries() {
+	n := e.graph.NumOperators()
+	jobTags := map[string]string{"job": e.jobName}
+	e.series = make([]*metrics.Series, 0, 4+3*n)
+	for _, name := range []string{metrics.MetricThroughput, metrics.MetricLatencyMS,
+		metrics.MetricEventTimeLatencyMS, metrics.MetricKafkaLag} {
+		e.series = append(e.series, e.store.Series(name, jobTags))
+	}
+	for i := 0; i < n; i++ {
+		opTags := map[string]string{"job": e.jobName, "operator": e.graph.Operator(i).Name}
+		for _, name := range []string{metrics.MetricTrueProcessingRate, metrics.MetricObservedRate,
+			metrics.MetricInputRate} {
+			e.series = append(e.series, e.store.Series(name, opTags))
+		}
+	}
+}
+
+// DropMetrics unregisters the engine's series from its store, freeing
+// their points. A later engine of the same job name records into fresh
+// series.
+func (e *Engine) DropMetrics() {
+	if e.store != nil {
+		e.store.Drop(e.series...)
+		e.series = nil
+	}
+}
+
 func (e *Engine) recordMetrics(trueRates, observed []float64, throughput, procLat, eventLat float64) {
 	if e.store == nil {
 		return
 	}
-	jobTags := map[string]string{"job": e.jobName}
-	e.store.MustRecord(metrics.MetricThroughput, jobTags, e.nowSec, throughput)
-	e.store.MustRecord(metrics.MetricLatencyMS, jobTags, e.nowSec, procLat)
-	e.store.MustRecord(metrics.MetricEventTimeLatencyMS, jobTags, e.nowSec, eventLat)
-	e.store.MustRecord(metrics.MetricKafkaLag, jobTags, e.nowSec, e.topic.Lag())
-	for i := 0; i < e.graph.NumOperators(); i++ {
-		opTags := map[string]string{
-			"job":      e.jobName,
-			"operator": e.graph.Operator(i).Name,
-		}
-		e.store.MustRecord(metrics.MetricTrueProcessingRate, opTags, e.nowSec, trueRates[i])
-		e.store.MustRecord(metrics.MetricObservedRate, opTags, e.nowSec, observed[i])
-		e.store.MustRecord(metrics.MetricInputRate, opTags, e.nowSec, e.lastLambda[i])
+	if e.series == nil {
+		e.resolveSeries()
+	}
+	t := e.nowSec
+	mustRecord(e.series[0], t, throughput)
+	mustRecord(e.series[1], t, procLat)
+	mustRecord(e.series[2], t, eventLat)
+	mustRecord(e.series[3], t, e.topic.Lag())
+	for i, h := 0, e.series[4:]; i < e.graph.NumOperators(); i, h = i+1, h[3:] {
+		mustRecord(h[0], t, trueRates[i])
+		mustRecord(h[1], t, observed[i])
+		mustRecord(h[2], t, e.lastLambda[i])
+	}
+}
+
+// mustRecord panics on an out-of-order sample: the engine's writes are
+// ordered by construction.
+func mustRecord(h *metrics.Series, t, v float64) {
+	if err := h.Record(t, v); err != nil {
+		panic(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -19,6 +20,7 @@ import (
 // Inc/Add are lock-free.
 type Counter struct {
 	bits atomic.Uint64 // float64 bits
+	expo expoName
 }
 
 // Inc adds 1.
@@ -51,6 +53,7 @@ type Histogram struct {
 	counts  []uint64  // len(bounds)+1; last is the +Inf bucket
 	sum     float64
 	samples uint64
+	expo    expoName
 }
 
 // newHistogram copies and sorts the bounds.
@@ -98,16 +101,44 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// instrumentKey identifies a counter or histogram: name + canonical tags.
-type instrumentKey struct {
-	Name string
-	Tags string
+// appendExposition renders the histogram's cumulative buckets, sum and
+// count under the given exposition name and labels.
+func (h *Histogram) appendExposition(b []byte, name, labels string) []byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var cum uint64
+	for i, c := range h.counts {
+		cum += c
+		b = append(b, name...)
+		b = append(b, "_bucket{"...)
+		if labels != "" {
+			b = append(b, labels...)
+			b = append(b, ',')
+		}
+		b = append(b, `le="`...)
+		if i < len(h.bounds) {
+			b = strconv.AppendFloat(b, h.bounds[i], 'g', -1, 64)
+		} else {
+			b = append(b, "+Inf"...)
+		}
+		b = append(b, `"} `...)
+		b = strconv.AppendUint(b, cum, 10)
+		b = append(b, '\n')
+	}
+	b = appendSample(b, name, "_sum", labels)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, h.sum, 'g', -1, 64)
+	b = append(b, '\n')
+	b = appendSample(b, name, "_count", labels)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, h.samples, 10)
+	return append(b, '\n')
 }
 
 // Counter returns (creating on first use) the counter with the given
 // name and tags. Existing instruments resolve with a lock-free read.
 func (s *Store) Counter(name string, tags map[string]string) *Counter {
-	key := instrumentKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
 	if c, ok := s.counters.Load(key); ok {
 		return c.(*Counter)
 	}
@@ -121,7 +152,7 @@ func (s *Store) Counter(name string, tags map[string]string) *Counter {
 // instrument unchanged. Existing instruments resolve with a lock-free
 // read.
 func (s *Store) Histogram(name string, tags map[string]string, bounds []float64) *Histogram {
-	key := instrumentKey{Name: name, Tags: EncodeTags(tags)}
+	key := SeriesKey{Name: name, Tags: EncodeTags(tags)}
 	if h, ok := s.histograms.Load(key); ok {
 		return h.(*Histogram)
 	}
@@ -131,7 +162,7 @@ func (s *Store) Histogram(name string, tags map[string]string, bounds []float64)
 
 // instPair is one (key, instrument) entry collected for exposition.
 type instPair[V any] struct {
-	key instrumentKey
+	key SeriesKey
 	val V
 }
 
@@ -139,14 +170,9 @@ type instPair[V any] struct {
 func sortedInstruments[V any](m *sync.Map) []instPair[V] {
 	var out []instPair[V]
 	m.Range(func(k, v any) bool {
-		out = append(out, instPair[V]{key: k.(instrumentKey), val: v.(V)})
+		out = append(out, instPair[V]{key: k.(SeriesKey), val: v.(V)})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.Name != out[j].key.Name {
-			return out[i].key.Name < out[j].key.Name
-		}
-		return out[i].key.Tags < out[j].key.Tags
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key.less(out[j].key) })
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 )
 
 // gcPauseBucketsNs is the fixed bucket layout of the GC pause histogram
@@ -60,7 +61,7 @@ func WriteRuntimeExposition(w io.Writer) error {
 			cumulative++
 		}
 		if _, err := fmt.Fprintf(w, "autrascale_runtime_gc_pause_ns_bucket{le=%q} %d\n",
-			formatBound(bound), cumulative); err != nil {
+			strconv.FormatFloat(bound, 'g', -1, 64), cumulative); err != nil {
 			return err
 		}
 	}

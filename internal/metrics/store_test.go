@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -100,10 +101,6 @@ func TestSeriesDiscovery(t *testing.T) {
 	if len(pts) != 1 {
 		t.Fatalf("WindowByKey = %v", pts)
 	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Fatal("Clear failed")
-	}
 }
 
 func TestConcurrentRecord(t *testing.T) {
@@ -128,6 +125,138 @@ func TestConcurrentRecord(t *testing.T) {
 		if len(pts) != 500 {
 			t.Fatalf("instance %d has %d points", w, len(pts))
 		}
+	}
+}
+
+// Handles record while other series register and a scraper renders the
+// store: two goroutines append through handles, one registers new
+// series, one loops WriteExposition. Run under -race (make race includes
+// this package) it is the locking proof for the registry and the
+// per-series appends.
+func TestConcurrentHandlesRegisterScrape(t *testing.T) {
+	s := NewStore()
+	const samples = 2000
+	var writers, others sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		h := s.Series("m", map[string]string{"writer": fmt.Sprint(w)})
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < samples; i++ {
+				if err := h.Record(float64(i), float64(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	others.Add(2)
+	go func() {
+		defer others.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s.MustRecord("registered", map[string]string{"i": fmt.Sprint(i)}, 0, float64(i))
+		}
+	}()
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := s.WriteExposition(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	others.Wait()
+	for w := 0; w < 2; w++ {
+		pts := s.Window("m", map[string]string{"writer": fmt.Sprint(w)}, 0, samples)
+		if len(pts) != samples {
+			t.Fatalf("writer %d kept %d of %d samples", w, len(pts), samples)
+		}
+		for i, p := range pts {
+			if p.TimeSec != float64(i) || p.Value != float64(i) {
+				t.Fatalf("writer %d sample %d = %+v", w, i, p)
+			}
+		}
+	}
+}
+
+// Chunked storage must keep every sample in order across chunk
+// boundaries, answer windows that straddle them, and keep rejecting
+// out-of-order samples with the same error.
+func TestSeriesChunkBoundaries(t *testing.T) {
+	s := NewStore()
+	h := s.Series("m", map[string]string{"job": "wc"})
+	if h != s.Series("m", map[string]string{"job": "wc"}) {
+		t.Fatal("same name and tags resolved to two handles")
+	}
+	if s.Len() != 0 {
+		t.Fatal("a series with no points is listed")
+	}
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := h.Record(float64(i), float64(-i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := h.Record(3, 0)
+	if err == nil || err.Error() != "metrics: out-of-order sample for m@job=wc: 3 after 999" {
+		t.Fatalf("out-of-order error = %v", err)
+	}
+	for _, w := range [][2]int{{0, n - 1}, {7, 8}, {100, 400}, {119, 121}, {500, 500}, {990, 2000}, {-5, -1}} {
+		pts := s.Window("m", map[string]string{"job": "wc"}, float64(w[0]), float64(w[1]))
+		lo, hi := max(w[0], 0), min(w[1], n-1)
+		if len(pts) != max(hi-lo+1, 0) {
+			t.Fatalf("window %v: %d points, want %d", w, len(pts), max(hi-lo+1, 0))
+		}
+		for i, p := range pts {
+			if p.TimeSec != float64(lo+i) || p.Value != -float64(lo+i) {
+				t.Fatalf("window %v point %d = %+v", w, i, p)
+			}
+		}
+	}
+	if p, ok := s.Latest("m", map[string]string{"job": "wc"}); !ok || p.TimeSec != n-1 {
+		t.Fatalf("Latest = %+v, %v", p, ok)
+	}
+}
+
+// Dropping a series removes it from every read API, and the next lookup
+// registers a fresh one; a stale handle cannot drop its successor.
+func TestDropSeries(t *testing.T) {
+	s := NewStore()
+	old := s.Series("m", nil)
+	if err := old.Record(5, 1); err != nil {
+		t.Fatal(err)
+	}
+	s.Drop(old, nil)
+	if s.Len() != 0 || len(s.SeriesNames()) != 0 {
+		t.Fatal("dropped series still listed")
+	}
+	if _, ok := s.Latest("m", nil); ok {
+		t.Fatal("dropped series still readable")
+	}
+	fresh := s.Series("m", nil)
+	if fresh == old {
+		t.Fatal("lookup after Drop returned the dropped handle")
+	}
+	if err := fresh.Record(1, 2); err != nil {
+		t.Fatalf("fresh series inherited the dropped one's clock: %v", err)
+	}
+	s.Drop(old)
+	if p, ok := s.Latest("m", nil); !ok || p.Value != 2 {
+		t.Fatalf("stale handle dropped its successor: %+v, %v", p, ok)
 	}
 }
 

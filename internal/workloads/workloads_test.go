@@ -186,3 +186,33 @@ func TestObservedUnderestimatesWhenOverProvisioned(t *testing.T) {
 			m.ObservedRatePerInstance[count], m.TrueRatePerInstance[count])
 	}
 }
+
+// Recording a tick into a store must not allocate per sample: the
+// engine records through series handles resolved once, and a series
+// allocates only a new chunk of points, one per 128 samples once its
+// chunks reach full size. WordCount's 16 series then cost 0.125
+// allocations per tick; a per-sample allocation would cost 16.
+func TestTickWithStoreAllocations(t *testing.T) {
+	perTick := func(store *metrics.Store) float64 {
+		e, err := NewEngine(WordCount(), EngineOptions{
+			Seed:               3,
+			InitialParallelism: dataflow.ParallelismVector{3, 4, 12, 10},
+			Store:              store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run(2048) // resolve the handles and grow past the small chunks
+		const ticks = 1024
+		return testing.AllocsPerRun(4, func() {
+			for i := 0; i < ticks; i++ {
+				e.Tick()
+			}
+		}) / ticks
+	}
+	without, with := perTick(nil), perTick(metrics.NewStore())
+	if with > without+0.25 {
+		t.Fatalf("a tick allocates %.3f times with a store, %.3f without", with, without)
+	}
+	t.Logf("allocations per tick: %.3f with a store, %.3f without", with, without)
+}
